@@ -602,7 +602,7 @@ func runServeCases(quick bool) []Case {
 	}
 	body := func(seed uint64) []byte {
 		b, err := json.Marshal(serve.Request{
-			Graph: spec, Algorithm: serve.AlgGeneralFT, K: 2, Battery: 32, Seed: seed, Tries: 30,
+			Graph: spec, Algorithm: solver.NameGeneralFT, K: 2, Battery: 32, Seed: seed, Tries: 30,
 		})
 		if err != nil {
 			panic(err)
@@ -736,7 +736,7 @@ func runReconfigCases(quick bool) []Case {
 		}
 	}
 	solveBody, err := json.Marshal(serve.Request{
-		Graph: spec, Algorithm: serve.AlgUniform, Battery: 8, Seed: 1, Tries: 8,
+		Graph: spec, Algorithm: solver.NameUniform, Battery: 8, Seed: 1, Tries: 8,
 	})
 	if err != nil {
 		panic(err)

@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+)
 
 // BudgetUpdate revises the duty budget of one surviving node, addressed in
 // the pre-delta ID space.
@@ -52,19 +56,59 @@ type Delta struct {
 	SetBudgets []BudgetUpdate `json:"set_budgets,omitempty"`
 }
 
+// UnmarshalJSON decodes the wire form of a delta, rejecting unknown fields
+// and any edge in remove_edges or add_edges that is not exactly two
+// integers. Decoding straight into [2]int would zero-fill a short edge and
+// drop the extra elements of a long one, silently changing the delta.
+func (d *Delta) UnmarshalJSON(b []byte) error {
+	type plain Delta // no methods, so decoding it does not recurse
+	wire := struct {
+		*plain
+		RemoveEdges *edgeList `json:"remove_edges"`
+		AddEdges    *edgeList `json:"add_edges"`
+	}{(*plain)(d), (*edgeList)(&d.RemoveEdges), (*edgeList)(&d.AddEdges)}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wire); err != nil {
+		return err
+	}
+	// A JSON null resets the pointer instead of calling edgeList's decoder.
+	if wire.RemoveEdges == nil {
+		d.RemoveEdges = nil
+	}
+	if wire.AddEdges == nil {
+		d.AddEdges = nil
+	}
+	return nil
+}
+
+// edgeList is the wire form of an edge list: an array of [u, v] pairs.
+type edgeList [][2]int
+
+func (l *edgeList) UnmarshalJSON(b []byte) error {
+	var raw [][]*int
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return err
+	}
+	if raw == nil {
+		*l = nil
+		return nil
+	}
+	out := make(edgeList, len(raw))
+	for i, e := range raw {
+		if len(e) != 2 || e[0] == nil || e[1] == nil {
+			return fmt.Errorf("graph: delta: edge %d is not exactly two integers", i)
+		}
+		out[i] = [2]int{*e[0], *e[1]}
+	}
+	*l = out
+	return nil
+}
+
 // Empty reports whether d is the identity delta.
 func (d Delta) Empty() bool {
 	return len(d.RemoveEdges) == 0 && len(d.RemoveNodes) == 0 &&
 		d.AddNodes == 0 && len(d.AddEdges) == 0 && len(d.SetBudgets) == 0
-}
-
-// packEdge keys an undirected edge for duplicate detection (u < v after
-// normalization; node IDs fit in 32 bits by construction of the graph layer).
-func packEdge(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(v)
 }
 
 // Apply validates d against g and the pre-delta budget vector and returns the
@@ -121,7 +165,7 @@ func (d Delta) Apply(g *Graph, budgets []int) (*Graph, []int, []int, error) {
 		if !g.HasEdge(u, v) {
 			return nil, nil, nil, fmt.Errorf("graph: delta: remove_edges[%d]: edge {%d,%d} does not exist", i, u, v)
 		}
-		key := packEdge(u, v)
+		key := PackEdge(u, v)
 		if dropEdge[key] {
 			return nil, nil, nil, fmt.Errorf("graph: delta: remove_edges[%d]: edge {%d,%d} listed twice", i, u, v)
 		}
@@ -145,12 +189,12 @@ func (d Delta) Apply(g *Graph, budgets []int) (*Graph, []int, []int, error) {
 	edges := make([][2]int, 0, g.M()+len(d.AddEdges))
 	present := make(map[uint64]bool, g.M()+len(d.AddEdges))
 	g.Edges(func(u, v int) {
-		if removed[u] || removed[v] || dropEdge[packEdge(u, v)] {
+		if removed[u] || removed[v] || dropEdge[PackEdge(u, v)] {
 			return
 		}
 		nu, nv := mapping[u], mapping[v]
 		edges = append(edges, [2]int{nu, nv})
-		present[packEdge(nu, nv)] = true
+		present[PackEdge(nu, nv)] = true
 	})
 	for i, e := range d.AddEdges {
 		u, v := e[0], e[1]
@@ -160,7 +204,7 @@ func (d Delta) Apply(g *Graph, budgets []int) (*Graph, []int, []int, error) {
 		if u == v {
 			return nil, nil, nil, fmt.Errorf("graph: delta: add_edges[%d]: self-loop at node %d", i, u)
 		}
-		key := packEdge(u, v)
+		key := PackEdge(u, v)
 		if present[key] {
 			return nil, nil, nil, fmt.Errorf("graph: delta: add_edges[%d]: edge {%d,%d} already present", i, u, v)
 		}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,7 +29,7 @@ type shadow struct {
 
 func shadowOf(g *Graph) *shadow {
 	s := &shadow{n: g.N(), edges: make(map[uint64]bool, g.M())}
-	g.Edges(func(u, v int) { s.edges[packEdge(u, v)] = true })
+	g.Edges(func(u, v int) { s.edges[PackEdge(u, v)] = true })
 	return s
 }
 
@@ -35,7 +37,7 @@ func shadowOf(g *Graph) *shadow {
 // from the spec rather than sharing code with Delta.Apply.
 func (s *shadow) apply(d Delta) {
 	for _, e := range d.RemoveEdges {
-		delete(s.edges, packEdge(e[0], e[1]))
+		delete(s.edges, PackEdge(e[0], e[1]))
 	}
 	removed := make(map[int]bool, len(d.RemoveNodes))
 	for _, v := range d.RemoveNodes {
@@ -57,12 +59,12 @@ func (s *shadow) apply(d Delta) {
 		if removed[u] || removed[v] {
 			continue
 		}
-		moved[packEdge(mapping[u], mapping[v])] = true
+		moved[PackEdge(mapping[u], mapping[v])] = true
 	}
 	s.edges = moved
 	s.n = next + d.AddNodes
 	for _, e := range d.AddEdges {
-		s.edges[packEdge(e[0], e[1])] = true
+		s.edges[PackEdge(e[0], e[1])] = true
 	}
 }
 
@@ -278,6 +280,37 @@ func TestDeltaApplyErrors(t *testing.T) {
 	}
 	if _, _, _, err := (Delta{}).Apply(nil, nil); err == nil {
 		t.Error("nil graph accepted")
+	}
+}
+
+// TestDeltaDecodeEdgeShape pins that the wire form of a delta rejects any
+// edge that is not exactly two integers, and unknown fields, instead of
+// zero-filling or truncating the edge into some other edge.
+func TestDeltaDecodeEdgeShape(t *testing.T) {
+	for _, field := range []string{"remove_edges", "add_edges"} {
+		for _, edge := range []string{`[]`, `[1]`, `[0,1,2]`, `[null,1]`, `null`, `[0.5,1]`} {
+			var d Delta
+			body := `{"add_nodes":1,"` + field + `":[[0,1],` + edge + `]}`
+			if err := json.Unmarshal([]byte(body), &d); err == nil {
+				t.Errorf("%s: edge %s accepted as %+v", field, edge, d)
+			}
+		}
+	}
+	var d Delta
+	if err := json.Unmarshal([]byte(`{"add_edges":[[0,1]],"bogus":1}`), &d); err == nil {
+		t.Error("unknown field accepted")
+	}
+	body := `{"Remove_Edges":[[2,3]],"add_nodes":2,"new_budgets":[4,5],"add_edges":[[0,4],[1,5]],"set_budgets":[{"node":1,"budget":7}]}`
+	if err := json.Unmarshal([]byte(body), &d); err != nil {
+		t.Fatal(err)
+	}
+	want := Delta{RemoveEdges: [][2]int{{2, 3}}, AddNodes: 2, NewBudgets: []int{4, 5},
+		AddEdges: [][2]int{{0, 4}, {1, 5}}, SetBudgets: []BudgetUpdate{{Node: 1, Budget: 7}}}
+	if !reflect.DeepEqual(d, want) {
+		t.Fatalf("decoded %+v, want %+v", d, want)
+	}
+	if err := json.Unmarshal([]byte(`{"add_edges":null}`), &d); err != nil || d.AddEdges != nil || d.AddNodes != 2 {
+		t.Fatalf("null add_edges: %+v, %v", d, err)
 	}
 }
 

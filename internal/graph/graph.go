@@ -68,6 +68,63 @@ func NewFromEdges(n int, edges [][2]int) *Graph {
 	return g
 }
 
+// PackEdge packs the undirected edge {u, v} into one word, the smaller
+// endpoint in the high half: uint64(min)<<32 | uint64(max). Packed edges
+// sort in the order Edges visits them, which is what NewFromSortedPairs and
+// Hasher.EdgePairs rely on. Both endpoints must lie in [0, 1<<31).
+func PackEdge(u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+// UnpackEdge is the inverse of PackEdge: it returns the endpoints u <= v.
+func UnpackEdge(p uint64) (u, v int) {
+	return int(p >> 32), int(uint32(p))
+}
+
+// NewFromSortedPairs builds a graph from edges that are already canonical:
+// packed by PackEdge, strictly ascending (so distinct), without self-loops
+// and with endpoints in [0, n). Visiting the pairs in order appends every
+// neighbor list in ascending order, so unlike NewFromEdges it sorts
+// nothing, and all neighbor lists share one backing array. A pair that
+// breaks the contract panics, matching NewFromEdges.
+func NewFromSortedPairs(n int, pairs []uint64) *Graph {
+	g := New(n)
+	deg := make([]int, n)
+	for i, p := range pairs {
+		u, v := UnpackEdge(p)
+		if u == v {
+			panic(fmt.Sprintf("graph: self-loop at node %d", u))
+		}
+		if u > v {
+			panic(fmt.Sprintf("graph: pair %d is not packed by PackEdge", i))
+		}
+		g.checkNode(v)
+		if i > 0 && pairs[i-1] >= p {
+			panic(fmt.Sprintf("graph: edge pairs not strictly ascending at %d", i))
+		}
+		deg[u]++
+		deg[v]++
+	}
+	backing := make([]int32, 2*len(pairs))
+	off := 0
+	for v, d := range deg {
+		// The capacity cap keeps AddEdge's append from writing into the
+		// next node's list.
+		g.adj[v] = backing[off : off : off+d]
+		off += d
+	}
+	for _, p := range pairs {
+		u, v := UnpackEdge(p)
+		g.adj[u] = append(g.adj[u], int32(v))
+		g.adj[v] = append(g.adj[v], int32(u))
+	}
+	g.m = len(pairs)
+	return g
+}
+
 // N returns the number of nodes.
 func (g *Graph) N() int { return len(g.adj) }
 

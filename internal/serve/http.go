@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -51,6 +53,61 @@ type response struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 }
 
+// render encodes the response envelope of r once, the way writeJSON would
+// encode response{Result: r}, and keeps it up to the per-delivery "cached"
+// member in r.body; the wire-only payload now in body is dropped. It runs
+// in execute, after SolveMS is stamped and before r is cached or handed to
+// a waiter, so r is never read while it changes.
+func (r *Result) render() error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(response{Result: r}); err != nil {
+		return fmt.Errorf("serve: encoding response: %w", err)
+	}
+	body, ok := bytes.CutSuffix(buf.Bytes(), responseTail(false, false))
+	if !ok {
+		return errors.New("serve: encoding response: unexpected envelope tail")
+	}
+	r.body = bytes.Clone(body)
+	r.Schedule, r.Mapping, r.Table = nil, nil, ""
+	return nil
+}
+
+// responseTails close a rendered body exactly as json.Encoder with
+// SetIndent("", "  ") closes the response envelope.
+var responseTails = [...][]byte{
+	[]byte("\"cached\": false\n}\n"),
+	[]byte("\"cached\": false,\n  \"coalesced\": true\n}\n"),
+	[]byte("\"cached\": true\n}\n"),
+	[]byte("\"cached\": true,\n  \"coalesced\": true\n}\n"),
+}
+
+func responseTail(cached, coalesced bool) []byte {
+	i := 0
+	if cached {
+		i += 2
+	}
+	if coalesced {
+		i++
+	}
+	return responseTails[i]
+}
+
+// writeResult writes the response for res: its rendered body and the
+// per-delivery tail, the bytes writeJSON would write for the envelope.
+// Only shard entries, which no job renders, take the reflective path.
+func writeResult(w http.ResponseWriter, status int, res *Result, cached, coalesced bool) {
+	if res.body == nil {
+		writeJSON(w, status, response{Result: res, Cached: cached, Coalesced: coalesced})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(res.body)                        //nolint:errcheck // best-effort over HTTP
+	w.Write(responseTail(cached, coalesced)) //nolint:errcheck // best-effort over HTTP
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -80,37 +137,63 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// decode reads one JSON value from the bounded body into into. Unknown
+// fields and anything but whitespace after the value are 400s; a body past
+// maxBodyBytes is a 413.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
+	err := dec.Decode(into)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errTrailingData
+			var tooBig *http.MaxBytesError
+			if errors.As(terr, &tooBig) {
+				err = terr
+			}
 		}
-		writeError(w, status, "decoding request: %v", err)
+	}
+	if err != nil {
+		writeError(w, errorStatus(err), "decoding request: %v", err)
 		return false
 	}
 	return true
 }
 
+// handleSchedule serves POST /v1/schedule in one pass over the body: parse,
+// check and key, then the cache lookup. Only a miss builds the instance and
+// validates it, and only a request that passed that validation is admitted
+// and can be cached under its key.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	if !s.decode(w, r, &req) {
+	b := bodyPool.Get().(*schedulePass)
+	defer b.release()
+	if err := b.read(w, r); err != nil {
+		writeError(w, errorStatus(err), "decoding request: %v", err)
 		return
 	}
-	inst, err := req.resolve(s.cfg.MaxNodes)
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge errTooLarge
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
+	if err := b.parse(); err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return
+	}
+	if err := b.check(s.cfg.MaxNodes); err != nil {
+		writeError(w, errorStatus(err), "%v", err)
+		return
+	}
+	key := b.key()
+	// While draining, even a hit goes through admit, which answers 503.
+	if !s.Draining() {
+		if res, ok := s.cachedHit(key); ok {
+			writeResult(w, http.StatusOK, res, true, false)
+			return
 		}
-		writeError(w, status, "%v", err)
+	}
+	inst, err := b.instance()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key := req.key(inst)
+	req := b.req
+	req.Batteries = nil // pooled scratch; the budgets live in inst
 	run := func(cancel func() bool) (*Result, error) {
 		width := s.cfg.RaceWidth
 		if width > 1 {
@@ -182,7 +265,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request,
 		return
 	}
 	if res != nil {
-		writeJSON(w, http.StatusOK, response{Result: res, Cached: true})
+		writeResult(w, http.StatusOK, res, true, false)
 		return
 	}
 	if async {
@@ -206,7 +289,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request,
 			s.writeJobError(w, j.err)
 			return
 		}
-		writeJSON(w, http.StatusOK, response{Result: j.result, Coalesced: coalesced})
+		writeResult(w, http.StatusOK, j.result, false, coalesced)
 	case <-ctx.Done():
 		writeJSON(w, http.StatusGatewayTimeout, map[string]string{
 			"error": "deadline exceeded waiting for result",
@@ -236,7 +319,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res != nil {
-		writeJSON(w, http.StatusOK, response{Result: res, Cached: true})
+		writeResult(w, http.StatusOK, res, true, false)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"key": key, "kind": kind, "status": state})

@@ -141,14 +141,11 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	}
 	key := req.key(fp, overlap)
 
-	s.mu.Lock()
-	if cached, ok := s.cache.get(key); ok {
-		s.met.requests.Inc()
-		s.met.cacheHits.Inc()
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, response{Result: cached, Cached: true})
+	if cached, ok := s.cachedHit(key); ok {
+		writeResult(w, http.StatusOK, cached, true, false)
 		return
 	}
+	s.mu.Lock()
 	candidates := s.cache.byFingerprint(fp)
 	s.mu.Unlock()
 
@@ -303,7 +300,7 @@ func patchResult(key, priorFP string, req *PatchRequest, overlap int,
 		algorithm: algorithm,
 		seed:      req.seedOrDefault(),
 		tries:     req.triesOrDefault(),
-		sched:     sched,
+		sched:     compactSchedule(sched),
 	}
 	if part != nil {
 		// A sharded base stays sharded: the next PATCH rebases this

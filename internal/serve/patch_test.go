@@ -63,7 +63,7 @@ func TestPatchEndToEnd(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 
-	base := solveRing(t, h, 8, Request{Algorithm: AlgUniform, Battery: 5, Seed: 7})
+	base := solveRing(t, h, 8, Request{Algorithm: solver.NameUniform, Battery: 5, Seed: 7})
 
 	w := patch(h, base.Fingerprint, patchBody(t, PatchRequest{Delta: growDelta(8, 5), At: 1}))
 	if w.Code != http.StatusOK {
@@ -117,7 +117,7 @@ func TestPatchEndToEnd(t *testing.T) {
 	if got := counter(s, "serve.invalidated"); got < 1 {
 		t.Fatalf("serve.invalidated = %d, want >= 1", got)
 	}
-	w2 := post(h, "/v1/schedule", scheduleBody(t, Request{Graph: ring(8), Algorithm: AlgUniform, Battery: 5, Seed: 7}))
+	w2 := post(h, "/v1/schedule", scheduleBody(t, Request{Graph: ring(8), Algorithm: solver.NameUniform, Battery: 5, Seed: 7}))
 	if m := decodeResponse(t, w2); m["cached"] == true {
 		t.Fatal("superseded schedule still served from cache after PATCH")
 	}
@@ -131,7 +131,7 @@ func TestPatchIdempotentRetry(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 
-	base := solveRing(t, h, 6, Request{Algorithm: AlgUniform, Battery: 2, Seed: 1})
+	base := solveRing(t, h, 6, Request{Algorithm: solver.NameUniform, Battery: 2, Seed: 1})
 	body := patchBody(t, PatchRequest{Delta: growDelta(6, 2), At: 0})
 
 	w := patch(h, base.Fingerprint, body)
@@ -166,7 +166,7 @@ func TestPatchChains(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 
-	base := solveRing(t, h, 8, Request{Algorithm: AlgUniform, Battery: 4, Seed: 2})
+	base := solveRing(t, h, 8, Request{Algorithm: solver.NameUniform, Battery: 4, Seed: 2})
 	w := patch(h, base.Fingerprint, patchBody(t, PatchRequest{Delta: growDelta(8, 4), At: 0}))
 	if w.Code != http.StatusOK {
 		t.Fatalf("first patch status %d: %s", w.Code, w.Body.String())
@@ -211,7 +211,7 @@ func TestPatchAmbiguousFingerprint(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 
-	base := solveRing(t, h, 8, Request{Algorithm: AlgUniform, Battery: 3, Seed: 5})
+	base := solveRing(t, h, 8, Request{Algorithm: solver.NameUniform, Battery: 3, Seed: 5})
 	other := solveRing(t, h, 8, Request{Algorithm: solver.NameGreedy, Battery: 3, Seed: 5})
 	if other.Fingerprint != base.Fingerprint {
 		t.Fatalf("same graph, different fingerprints: %q vs %q", base.Fingerprint, other.Fingerprint)
@@ -222,7 +222,7 @@ func TestPatchAmbiguousFingerprint(t *testing.T) {
 		t.Fatalf("ambiguous patch status %d, want 409: %s", w.Code, w.Body.String())
 	}
 	// Naming the algorithm disambiguates.
-	disamb := patchBody(t, PatchRequest{Delta: growDelta(8, 3), At: 0, Algorithm: AlgUniform})
+	disamb := patchBody(t, PatchRequest{Delta: growDelta(8, 3), At: 0, Algorithm: solver.NameUniform})
 	if w := patch(h, base.Fingerprint, disamb); w.Code != http.StatusOK {
 		t.Fatalf("disambiguated patch status %d: %s", w.Code, w.Body.String())
 	}
@@ -232,7 +232,7 @@ func TestPatchValidation(t *testing.T) {
 	s := New(Config{Workers: 1, MaxNodes: 8})
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
-	base := solveRing(t, h, 8, Request{Algorithm: AlgUniform, Battery: 3, Seed: 9})
+	base := solveRing(t, h, 8, Request{Algorithm: solver.NameUniform, Battery: 3, Seed: 9})
 
 	neg := -1
 	cases := []struct {

@@ -9,62 +9,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
-	"repro/internal/instance"
-	"repro/internal/shard"
 	"repro/internal/solver"
 )
 
-// Algorithm names accepted by the schedule endpoint. The service accepts
-// every name in the internal/solver registry; these aliases of the paper
-// algorithms' registry names are kept for callers of the Go API.
-const (
-	AlgUniform   = solver.NameUniform   // Algorithm 1: uniform batteries
-	AlgGeneral   = solver.NameGeneral   // Algorithm 2: arbitrary batteries
-	AlgFT        = solver.NameFT        // Algorithm 3: uniform batteries, k-tolerant
-	AlgGeneralFT = solver.NameGeneralFT // repo extension: arbitrary batteries, k-tolerant
-	AlgGrid      = solver.NameGrid      // pattern tiling on certified grid/torus instances
-	AlgAuto      = solver.NameAuto      // portfolio: structure detection picks the solver
-)
-
 // GraphSpec is the wire form of a network graph: a node count and an
-// undirected edge list. Unlike the internal constructors it validates
-// rather than panics — it is the trust boundary of the service.
+// undirected edge list. The service decodes it on its own single pass
+// (schedulePass), which validates rather than panics — every edge exactly
+// two integers in [0, N), no self-loops, no duplicates — because it is the
+// trust boundary of the service.
 type GraphSpec struct {
 	N     int      `json:"n"`
 	Edges [][2]int `json:"edges"`
-}
-
-// build validates the spec (node range, self-loops, duplicate edges, the
-// maxNodes cap) and constructs the graph.
-func (gs GraphSpec) build(maxNodes int) (*graph.Graph, error) {
-	if gs.N < 0 {
-		return nil, fmt.Errorf("graph.n = %d must be >= 0", gs.N)
-	}
-	if gs.N > maxNodes {
-		return nil, errTooLarge{fmt.Sprintf("graph.n = %d exceeds the service cap of %d nodes", gs.N, maxNodes)}
-	}
-	// Duplicate detection keys on a packed uint64 rather than a [2]int:
-	// integer keys hash several times faster, and this map is the single
-	// hottest allocation on the request path (paid on cache hits too).
-	seen := make(map[uint64]bool, len(gs.Edges))
-	for i, e := range gs.Edges {
-		u, v := e[0], e[1]
-		if u < 0 || u >= gs.N || v < 0 || v >= gs.N {
-			return nil, fmt.Errorf("edge %d {%d,%d}: endpoint out of range [0, %d)", i, u, v, gs.N)
-		}
-		if u == v {
-			return nil, fmt.Errorf("edge %d: self-loop at node %d", i, u)
-		}
-		if u > v {
-			u, v = v, u
-		}
-		packed := uint64(u)<<32 | uint64(v)
-		if seen[packed] {
-			return nil, fmt.Errorf("edge %d: duplicate edge {%d,%d}", i, u, v)
-		}
-		seen[packed] = true
-	}
-	return graph.NewFromEdges(gs.N, gs.Edges), nil
 }
 
 // errTooLarge marks a request rejected for size (HTTP 413) rather than
@@ -147,8 +102,8 @@ func (r *Request) budget(fallback int) int {
 
 // spec is the solver.Spec the request resolves to: the algorithm itself, or
 // — when Refine is set — the refiner with the algorithm as its base. The
-// domination tolerance is not spec material anymore: it lives on the typed
-// instance resolve builds.
+// domination tolerance is not spec material: it lives on the typed instance
+// (schedulePass.instance).
 func (r *Request) spec() solver.Spec {
 	s := solver.Spec{Name: r.Algorithm, KConst: r.kconst()}
 	if r.Refine != "" {
@@ -165,92 +120,6 @@ func timeoutFromMS(ms int, fallback time.Duration) time.Duration {
 	return time.Duration(ms) * time.Millisecond
 }
 
-// resolve validates the request and returns the typed instance it
-// describes: the built graph under the normalized per-node budget vector
-// (uniform scalars expanded) and the domination tolerance, which is what
-// both the solver and the canonical key consume. The algorithm name
-// resolves through the internal/solver registry, and the solver's own
-// Validate supplies the shape checks (budget-vector length and signs,
-// uniformity for the uniform algorithms, tolerance restrictions, node caps
-// for the exponential baselines) — all surfaced as client errors. For
-// algorithm "auto" that validation runs the portfolio dispatch at decode
-// time, so a refine stage stacked on an auto that resolves to a
-// non-refinable fast path (the grid solver) is a 400 here, before any job
-// is enqueued.
-func (r *Request) resolve(maxNodes int) (*instance.Instance, error) {
-	if _, ok := solver.Get(r.Algorithm); !ok {
-		return nil, fmt.Errorf("unknown algorithm %q (have %s)",
-			r.Algorithm, strings.Join(solver.Names(), ", "))
-	}
-	if r.Refine != "" && !isRefiner(r.Refine) {
-		return nil, fmt.Errorf("refine = %q is not a refinement solver (have %s)",
-			r.Refine, strings.Join(solver.RefinerNames(), ", "))
-	}
-	sv, _ := solver.Get(r.spec().Name)
-	if r.K < 0 {
-		return nil, fmt.Errorf("k = %d must be >= 1", r.K)
-	}
-	if r.KConst < 0 {
-		return nil, fmt.Errorf("kconst = %v must be > 0", r.KConst)
-	}
-	if r.Tries < 0 {
-		return nil, fmt.Errorf("tries = %d must be >= 0", r.Tries)
-	}
-	if r.Budget < 0 {
-		return nil, fmt.Errorf("budget = %d must be >= 0", r.Budget)
-	}
-	if r.TimeBudgetMS < 0 {
-		return nil, fmt.Errorf("time_budget_ms = %d must be >= 0", r.TimeBudgetMS)
-	}
-	if r.TimeoutMS < 0 {
-		return nil, fmt.Errorf("timeout_ms = %d must be >= 0", r.TimeoutMS)
-	}
-	if r.Shards < 0 {
-		return nil, fmt.Errorf("shards = %d must be >= 0", r.Shards)
-	}
-	switch r.Partitioner {
-	case "", "bfs":
-	case "geom":
-		return nil, fmt.Errorf("partitioner = %q needs node coordinates, which edge-list requests do not carry; use \"bfs\"", r.Partitioner)
-	default:
-		return nil, fmt.Errorf("unknown partitioner %q (have %s)",
-			r.Partitioner, strings.Join(shard.Partitioners(), ", "))
-	}
-	g, err := r.Graph.build(maxNodes)
-	if err != nil {
-		return nil, err
-	}
-
-	budgets := make([]int, g.N())
-	switch {
-	case len(r.Batteries) > 0:
-		if len(r.Batteries) != g.N() {
-			return nil, fmt.Errorf("%d batteries for %d nodes", len(r.Batteries), g.N())
-		}
-		for v, b := range r.Batteries {
-			if b < 0 {
-				return nil, fmt.Errorf("batteries[%d] = %d must be >= 0", v, b)
-			}
-			budgets[v] = b
-		}
-	default:
-		if r.Battery < 0 {
-			return nil, fmt.Errorf("battery = %d must be >= 0", r.Battery)
-		}
-		for v := range budgets {
-			budgets[v] = r.Battery
-		}
-	}
-	inst := instance.New(g, budgets).WithK(r.k())
-	// The effective solver's Validate supplies the shape checks; a refiner's
-	// Validate also resolves and validates its base algorithm (running the
-	// auto dispatch if the base says so).
-	if err := sv.Validate(inst, r.spec()); err != nil {
-		return nil, err
-	}
-	return inst, nil
-}
-
 // isRefiner reports whether name is a registered refinement solver.
 func isRefiner(name string) bool {
 	for _, n := range solver.RefinerNames() {
@@ -259,31 +128,6 @@ func isRefiner(name string) bool {
 		}
 	}
 	return false
-}
-
-// key returns the canonical cache/coalescing key of the request: the
-// graph.Hasher sum over graph structure, normalized budgets, algorithm, and
-// parameters. Delivery options are deliberately excluded. Requests for
-// "auto" key on the literal name "auto", not on the solver the portfolio
-// dispatches to — the dispatch is deterministic in the graph (which the key
-// hashes in full), so the entry can never go stale, and an explicit request
-// for the concrete solver stays a distinct cache line.
-func (r *Request) key(inst *instance.Instance) string {
-	return graph.NewHasher().
-		String("kind", "schedule").
-		Graph("graph", inst.Graph).
-		Ints("budgets", inst.Budgets).
-		String("alg", r.Algorithm).
-		String("refine", r.Refine).
-		Int("k", r.k()).
-		Float("kconst", r.kconst()).
-		Uint64("seed", r.seed()).
-		Int("tries", r.tries()).
-		Int("budget", r.Budget).
-		Int("time_budget_ms", r.TimeBudgetMS).
-		Int("shards", r.Shards).
-		String("partitioner", r.Partitioner).
-		Sum()
 }
 
 // ExperimentRequest asks the service to run one registered experiment
@@ -332,7 +176,8 @@ func (r *ExperimentRequest) key(id string) string {
 // experiment results carry the rendered table; reconfig results carry the
 // transition schedule plus the delta bookkeeping (fingerprints, mapping,
 // overlap cost). Per-response metadata (cached, coalesced) lives in the HTTP
-// envelope, not here, so one Result can serve many responses.
+// envelope, not here, so one Result can serve many responses: execute
+// renders the envelope once into body, which every writer sends.
 type Result struct {
 	Key        string          `json:"key"`
 	Kind       string          `json:"kind"` // "schedule" | "experiment" | "reconfig"
@@ -359,6 +204,11 @@ type Result struct {
 	Violation        bool   `json:"violation,omitempty"`      // domination could not be preserved
 	Invalidated      int    `json:"invalidated,omitempty"`    // cache entries dropped for the prior fingerprint
 	Mapping          []int  `json:"mapping,omitempty"`        // old→new node IDs, -1 = removed
+
+	// body is the rendered response envelope up to its "cached" member
+	// (render). Schedule, Table and Mapping are wire-only, so render drops
+	// them once they are in body: an entry keeps its payload once, not twice.
+	body []byte
 
 	// ctx carries the solved instance (graph, budgets, schedule) alongside
 	// the wire payload so a PATCH against this result's fingerprint can plan

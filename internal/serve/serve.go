@@ -275,10 +275,12 @@ func (s *Server) execute(j *job) {
 		if err == nil {
 			start := time.Now()
 			res, err = j.run(cancel)
-			if res != nil {
-				res.SolveMS = msSince(start)
+			solveMS := msSince(start)
+			s.met.solveMS.Observe(solveMS)
+			if err == nil {
+				res.SolveMS = solveMS
+				err = res.render()
 			}
-			s.met.solveMS.Observe(msSince(start))
 		}
 	}
 
@@ -323,6 +325,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// cachedHit answers key from the cache, counting the request and the hit
+// as admit does. A miss counts nothing: the request goes on to admit.
+func (s *Server) cachedHit(key string) (*Result, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res, ok := s.cache.get(key)
+	if ok {
+		s.met.requests.Inc()
+		s.met.cacheHits.Inc()
+	}
+	return res, ok
 }
 
 // invalidateFingerprint drops every cached result computed for the graph

@@ -14,6 +14,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/solver"
@@ -35,6 +36,23 @@ func scheduleBody(t *testing.T, req Request) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// resolve runs req through the request path of POST /v1/schedule up to the
+// instance a cache miss solves: parse, check, build and validate.
+func resolve(req Request, maxNodes int) (*instance.Instance, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	p := &schedulePass{buf: body}
+	if err := p.parse(); err != nil {
+		return nil, err
+	}
+	if err := p.check(maxNodes); err != nil {
+		return nil, err
+	}
+	return p.instance()
 }
 
 func post(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
@@ -104,7 +122,7 @@ func TestScheduleEndToEnd(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 
-	req := Request{Graph: ring(8), Algorithm: AlgUniform, Battery: 3, Seed: 7}
+	req := Request{Graph: ring(8), Algorithm: solver.NameUniform, Battery: 3, Seed: 7}
 	w := post(h, "/v1/schedule", scheduleBody(t, req))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
@@ -124,7 +142,7 @@ func TestScheduleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := req.resolve(1 << 20)
+	inst, err := resolve(req, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +181,7 @@ func TestIdenticalConcurrentRequestsCoalesce(t *testing.T) {
 	h := s.Handler()
 
 	const clients = 8
-	body := scheduleBody(t, Request{Graph: ring(10), Algorithm: AlgUniform, Battery: 4, Seed: 3})
+	body := scheduleBody(t, Request{Graph: ring(10), Algorithm: solver.NameUniform, Battery: 4, Seed: 3})
 	var wg sync.WaitGroup
 	codes := make([]int, clients)
 	for i := 0; i < clients; i++ {
@@ -208,7 +226,7 @@ func TestQueueOverflowReturns429(t *testing.T) {
 	h := s.Handler()
 
 	mk := func(seed uint64) []byte {
-		return scheduleBody(t, Request{Graph: ring(6), Algorithm: AlgUniform, Battery: 2, Seed: seed, Async: true})
+		return scheduleBody(t, Request{Graph: ring(6), Algorithm: solver.NameUniform, Battery: 2, Seed: seed, Async: true})
 	}
 	if w := post(h, "/v1/schedule", mk(1)); w.Code != http.StatusAccepted {
 		t.Fatalf("job 1 status %d", w.Code)
@@ -237,7 +255,7 @@ func TestInFlightCapReturns429(t *testing.T) {
 	h := s.Handler()
 
 	mk := func(seed uint64) []byte {
-		return scheduleBody(t, Request{Graph: ring(6), Algorithm: AlgUniform, Battery: 2, Seed: seed, Async: true})
+		return scheduleBody(t, Request{Graph: ring(6), Algorithm: solver.NameUniform, Battery: 2, Seed: seed, Async: true})
 	}
 	if w := post(h, "/v1/schedule", mk(1)); w.Code != http.StatusAccepted {
 		t.Fatalf("job 1 status %d", w.Code)
@@ -257,7 +275,7 @@ func TestDeadlineCancelsInFlightJob(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 
-	body := scheduleBody(t, Request{Graph: ring(6), Algorithm: AlgUniform, Battery: 2, Seed: 1, TimeoutMS: 30})
+	body := scheduleBody(t, Request{Graph: ring(6), Algorithm: solver.NameUniform, Battery: 2, Seed: 1, TimeoutMS: 30})
 	w := post(h, "/v1/schedule", body)
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", w.Code, w.Body.String())
@@ -305,7 +323,7 @@ func TestDrainFinishesAcceptedJobsAndRejectsNew(t *testing.T) {
 	h := s.Handler()
 
 	mk := func(seed uint64) Request {
-		return Request{Graph: ring(8), Algorithm: AlgUniform, Battery: 3, Seed: seed, Async: true}
+		return Request{Graph: ring(8), Algorithm: solver.NameUniform, Battery: 3, Seed: seed, Async: true}
 	}
 	keys := make([]string, 2)
 	for i := range keys {
@@ -364,7 +382,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 		t.Fatalf("unknown job status %d, want 404", w.Code)
 	}
 	w := post(h, "/v1/schedule", scheduleBody(t,
-		Request{Graph: ring(8), Algorithm: AlgFT, Battery: 4, K: 2, Seed: 5, Async: true}))
+		Request{Graph: ring(8), Algorithm: solver.NameFT, Battery: 4, K: 2, Seed: 5, Async: true}))
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("async submit status %d: %s", w.Code, w.Body.String())
 	}
@@ -391,7 +409,7 @@ func TestWorkerFaultFailsJob(t *testing.T) {
 	h := s.Handler()
 
 	w := post(h, "/v1/schedule", scheduleBody(t,
-		Request{Graph: ring(6), Algorithm: AlgUniform, Battery: 2, Seed: 1}))
+		Request{Graph: ring(6), Algorithm: solver.NameUniform, Battery: 2, Seed: 1}))
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500: %s", w.Code, w.Body.String())
 	}
@@ -444,19 +462,19 @@ func TestRequestValidation(t *testing.T) {
 		want int
 	}{
 		{"unknown algorithm", Request{Graph: ring(4), Algorithm: "frob"}, 400},
-		{"self loop", Request{Graph: GraphSpec{N: 2, Edges: [][2]int{{1, 1}}}, Algorithm: AlgUniform}, 400},
-		{"duplicate edge", Request{Graph: GraphSpec{N: 3, Edges: [][2]int{{0, 1}, {1, 0}}}, Algorithm: AlgUniform}, 400},
-		{"out of range edge", Request{Graph: GraphSpec{N: 2, Edges: [][2]int{{0, 5}}}, Algorithm: AlgUniform}, 400},
-		{"negative battery", Request{Graph: ring(4), Algorithm: AlgUniform, Battery: -1}, 400},
-		{"battery length", Request{Graph: ring(4), Algorithm: AlgGeneral, Batteries: []int{1, 2}}, 400},
-		{"non-uniform for uniform", Request{Graph: ring(3), Algorithm: AlgUniform, Batteries: []int{1, 2, 1}}, 400},
-		{"k on plain algorithm", Request{Graph: ring(4), Algorithm: AlgUniform, Battery: 2, K: 2}, 400},
-		{"unknown refiner", Request{Graph: ring(4), Algorithm: AlgUniform, Battery: 2, Refine: "frob"}, 400},
-		{"refine by plain solver", Request{Graph: ring(4), Algorithm: AlgUniform, Battery: 2, Refine: AlgGeneral}, 400},
+		{"self loop", Request{Graph: GraphSpec{N: 2, Edges: [][2]int{{1, 1}}}, Algorithm: solver.NameUniform}, 400},
+		{"duplicate edge", Request{Graph: GraphSpec{N: 3, Edges: [][2]int{{0, 1}, {1, 0}}}, Algorithm: solver.NameUniform}, 400},
+		{"out of range edge", Request{Graph: GraphSpec{N: 2, Edges: [][2]int{{0, 5}}}, Algorithm: solver.NameUniform}, 400},
+		{"negative battery", Request{Graph: ring(4), Algorithm: solver.NameUniform, Battery: -1}, 400},
+		{"battery length", Request{Graph: ring(4), Algorithm: solver.NameGeneral, Batteries: []int{1, 2}}, 400},
+		{"non-uniform for uniform", Request{Graph: ring(3), Algorithm: solver.NameUniform, Batteries: []int{1, 2, 1}}, 400},
+		{"k on plain algorithm", Request{Graph: ring(4), Algorithm: solver.NameUniform, Battery: 2, K: 2}, 400},
+		{"unknown refiner", Request{Graph: ring(4), Algorithm: solver.NameUniform, Battery: 2, Refine: "frob"}, 400},
+		{"refine by plain solver", Request{Graph: ring(4), Algorithm: solver.NameUniform, Battery: 2, Refine: solver.NameGeneral}, 400},
 		{"stacked refiner", Request{Graph: ring(4), Algorithm: solver.NameAnneal, Battery: 2, Refine: solver.NameTabu}, 400},
-		{"negative budget", Request{Graph: ring(4), Algorithm: AlgUniform, Battery: 2, Budget: -1}, 400},
-		{"negative time budget", Request{Graph: ring(4), Algorithm: AlgUniform, Battery: 2, TimeBudgetMS: -1}, 400},
-		{"too many nodes", Request{Graph: GraphSpec{N: 101}, Algorithm: AlgUniform, Battery: 1}, 413},
+		{"negative budget", Request{Graph: ring(4), Algorithm: solver.NameUniform, Battery: 2, Budget: -1}, 400},
+		{"negative time budget", Request{Graph: ring(4), Algorithm: solver.NameUniform, Battery: 2, TimeBudgetMS: -1}, 400},
+		{"too many nodes", Request{Graph: GraphSpec{N: 101}, Algorithm: solver.NameUniform, Battery: 1}, 413},
 	}
 	for _, c := range cases {
 		if w := post(h, "/v1/schedule", scheduleBody(t, c.req)); w.Code != c.want {
@@ -518,7 +536,7 @@ func TestScheduleRefineRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := refined.resolve(1 << 20)
+	inst, err := resolve(refined, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +579,7 @@ func TestScheduleAutoRequest(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 
-	req := Request{Graph: gridSpec(6, 7), Algorithm: AlgAuto, Battery: 3, Seed: 9}
+	req := Request{Graph: gridSpec(6, 7), Algorithm: solver.NameAuto, Battery: 3, Seed: 9}
 	w := post(h, "/v1/schedule", scheduleBody(t, req))
 	if w.Code != http.StatusOK {
 		t.Fatalf("auto status %d: %s", w.Code, w.Body.String())
@@ -570,14 +588,14 @@ func TestScheduleAutoRequest(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Algorithm != AlgAuto {
-		t.Fatalf("response algorithm %q, want the literal %q", resp.Algorithm, AlgAuto)
+	if resp.Algorithm != solver.NameAuto {
+		t.Fatalf("response algorithm %q, want the literal %q", resp.Algorithm, solver.NameAuto)
 	}
 	sched, err := core.ReadJSON(bytes.NewReader(resp.Schedule))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := req.resolve(1 << 20)
+	inst, err := resolve(req, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +620,7 @@ func TestScheduleAutoRequest(t *testing.T) {
 		t.Fatalf("serve.admitted = %d after the decode-time reject, want 1 (the reject must not enqueue)", admitted)
 	}
 
-	offGrid := Request{Graph: ring(30), Algorithm: AlgAuto, Battery: 3, Refine: solver.NameTabu, Seed: 9}
+	offGrid := Request{Graph: ring(30), Algorithm: solver.NameAuto, Battery: 3, Refine: solver.NameTabu, Seed: 9}
 	if w := post(h, "/v1/schedule", scheduleBody(t, offGrid)); w.Code != http.StatusOK {
 		t.Fatalf("refine over auto→greedy off-grid: status %d (%s)", w.Code, w.Body.String())
 	}
@@ -617,7 +635,7 @@ func TestHealthzAndMetricsShareTheMux(t *testing.T) {
 		t.Fatalf("healthz status %d", w.Code)
 	}
 	post(h, "/v1/schedule", scheduleBody(t,
-		Request{Graph: ring(5), Algorithm: AlgUniform, Battery: 2, Seed: 2}))
+		Request{Graph: ring(5), Algorithm: solver.NameUniform, Battery: 2, Seed: 2}))
 	w := get(h, "/metrics")
 	if w.Code != http.StatusOK {
 		t.Fatalf("metrics status %d", w.Code)
@@ -647,7 +665,7 @@ func TestRealHTTPServer(t *testing.T) {
 	}
 	base := "http://" + hs.Addr()
 
-	body := scheduleBody(t, Request{Graph: ring(12), Algorithm: AlgGeneral,
+	body := scheduleBody(t, Request{Graph: ring(12), Algorithm: solver.NameGeneral,
 		Batteries: []int{1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4}, Seed: 9})
 	resp, err := http.Post(base+"/v1/schedule", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -684,7 +702,7 @@ func TestMetricsAccounting(t *testing.T) {
 	s := New(Config{Workers: 2})
 	h := s.Handler()
 	for seed := uint64(1); seed <= 5; seed++ {
-		body := scheduleBody(t, Request{Graph: ring(7), Algorithm: AlgUniform, Battery: 2, Seed: seed})
+		body := scheduleBody(t, Request{Graph: ring(7), Algorithm: solver.NameUniform, Battery: 2, Seed: seed})
 		post(h, "/v1/schedule", body) // miss
 		post(h, "/v1/schedule", body) // hit
 	}
@@ -712,7 +730,7 @@ func TestMetricsAccounting(t *testing.T) {
 func TestRaceWidthSolverMetrics(t *testing.T) {
 	s := New(Config{Workers: 2, RaceWidth: 3})
 	h := s.Handler()
-	body := scheduleBody(t, Request{Graph: ring(9), Algorithm: AlgUniform, Battery: 2, Tries: 4})
+	body := scheduleBody(t, Request{Graph: ring(9), Algorithm: solver.NameUniform, Battery: 2, Tries: 4})
 	if w := post(h, "/v1/schedule", body); w.Code != http.StatusOK {
 		t.Fatalf("raced schedule request: %d %s", w.Code, w.Body.String())
 	}

@@ -163,6 +163,24 @@ func scheduleJSON(s *core.Schedule) (json.RawMessage, error) {
 	return json.RawMessage(bytes.TrimSpace(buf.Bytes())), nil
 }
 
+// compactSchedule copies s into exactly sized storage, every phase set in
+// one shared array. Solvers grow sets by append, and a cached schedule
+// would otherwise pin their spare capacity for as long as it stays cached.
+func compactSchedule(s *core.Schedule) *core.Schedule {
+	total := 0
+	for _, p := range s.Phases {
+		total += len(p.Set)
+	}
+	sets := make([]int, 0, total)
+	out := &core.Schedule{Phases: make([]core.Phase, len(s.Phases))}
+	for i, p := range s.Phases {
+		start := len(sets)
+		sets = append(sets, p.Set...)
+		out.Phases[i] = core.Phase{Set: sets[start:len(sets):len(sets)], Duration: p.Duration}
+	}
+	return out
+}
+
 // scheduleResult renders a solved schedule into the immutable cached Result,
 // stamping the graph fingerprint and retaining the solved instance (ctx) so
 // the result is addressable — and patchable — by PATCH /v1/schedule/{fp}.
@@ -186,7 +204,7 @@ func scheduleResult(key string, req *Request, inst *instance.Instance,
 			algorithm: req.Algorithm,
 			seed:      req.seed(),
 			tries:     req.tries(),
-			sched:     s,
+			sched:     compactSchedule(s),
 			spec:      req.spec(),
 			budget:    req.budget(defs.Budget),
 			part:      part,
